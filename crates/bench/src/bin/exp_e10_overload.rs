@@ -71,10 +71,6 @@ fn flow() -> sl_dataflow::Dataflow {
 /// sensors land their tuples simultaneously, so every tick floods the
 /// filter's ingress queue.
 fn build(sensors: u64, policy: Option<OverflowPolicy>) -> Engine {
-    build_with_workers(sensors, policy, 1)
-}
-
-fn build_with_workers(sensors: u64, policy: Option<OverflowPolicy>, workers: usize) -> Engine {
     let mut t = Topology::new();
     let a = t.add_node(NodeSpec::edge("sensor-host", 10.0));
     let b = t.add_node(NodeSpec::edge("hub-b", 100_000.0));
@@ -88,7 +84,6 @@ fn build_with_workers(sensors: u64, policy: Option<OverflowPolicy>, workers: usi
     let mut cfg = EngineConfig {
         migration_enabled: false,
         seed: 11,
-        parallelism: workers,
         ..Default::default()
     };
     if let Some(policy) = policy {
@@ -221,31 +216,6 @@ fn main() {
         );
         json_rows.push(j);
     }
-
-    // Sequential-vs-parallel digest equality under burst load: the
-    // admission layer (chokepoint, shed RNG, credit protocol) must not
-    // break the sl-par determinism contract. Every observable output of
-    // a 4-worker run must be byte-identical to the sequential run.
-    for policy in [OverflowPolicy::Block, OverflowPolicy::ShedOldest] {
-        let digest = |workers: usize| {
-            let mut e = build_with_workers(sensors, Some(policy), workers);
-            e.install_fault_plan(&burst_plan(sensors));
-            e.run_for(Duration::from_secs(60));
-            (
-                e.warehouse().iter().cloned().collect::<Vec<_>>(),
-                e.monitor().sink_count("e10", "edw"),
-                e.dlq()
-                    .by_reason()
-                    .map(|(r, n)| (r.to_string(), n))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        assert!(
-            digest(1) == digest(4),
-            "{policy:?}: parallel digest diverged from sequential under burst"
-        );
-    }
-    println!("\nseq-vs-parallel digests identical under burst (Block, ShedOldest)");
 
     sl_bench::print_table(
         "E10 — overload control under a 3x burst (bounds + accounting asserted)",

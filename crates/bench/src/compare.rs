@@ -9,7 +9,6 @@
 //!
 //! | file | row key | metric |
 //! |---|---|---|
-//! | `BENCH_e9_parallel.json` | `label` | `speedup_vs_seq` |
 //! | `BENCH_e10_overload.json` | `label` | `delivered / baseline_delivered` |
 //! | `BENCH_e11_cq.json` | `subscribers` | `speedup` |
 //! | `BENCH_e12_compaction.json` | `segments` | `speedup` |
@@ -51,8 +50,7 @@ pub struct Comparison {
 }
 
 /// The experiment files `bench-compare` knows how to diff.
-pub const BASELINE_FILES: [&str; 4] = [
-    "BENCH_e9_parallel.json",
+pub const BASELINE_FILES: [&str; 3] = [
     "BENCH_e10_overload.json",
     "BENCH_e11_cq.json",
     "BENCH_e12_compaction.json",
@@ -82,7 +80,6 @@ pub fn compare(
     tolerance: f64,
 ) -> Result<Comparison, String> {
     let (key_field, metric): (&str, MetricFn) = match file {
-        "BENCH_e9_parallel.json" => ("label", |row, _| field_num(row, "speedup_vs_seq")),
         "BENCH_e10_overload.json" => ("label", |row, doc| {
             let delivered = field_num(row, "delivered")?;
             let base = field_num(doc, "baseline_delivered")?;
@@ -94,7 +91,6 @@ pub fn compare(
     };
     let metric_name = match file {
         "BENCH_e10_overload.json" => "delivered/baseline_delivered",
-        "BENCH_e9_parallel.json" => "speedup_vs_seq",
         _ => "speedup",
     };
 

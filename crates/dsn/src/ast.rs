@@ -185,6 +185,7 @@ impl DsnDocument {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_stt::Duration;
 

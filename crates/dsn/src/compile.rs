@@ -133,8 +133,8 @@ pub fn compile(doc: &DsnDocument) -> Result<ScnProgram, DsnError> {
             active: src.mode == SourceMode::Active,
         });
     }
-    for name in &topo {
-        let svc = doc.service(name).expect("validated");
+    // `validate` returns exactly the document's service names.
+    for svc in topo.iter().filter_map(|name| doc.service(name)) {
         commands.push(ScnCommand::SpawnProcess {
             service: svc.name.clone(),
             spec: svc.spec.clone(),
@@ -163,6 +163,7 @@ pub fn compile(doc: &DsnDocument) -> Result<ScnProgram, DsnError> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::ast::{ServiceDecl, SinkDecl, SourceDecl};
     use sl_stt::Duration;

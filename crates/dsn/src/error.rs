@@ -84,6 +84,7 @@ impl std::error::Error for DsnError {}
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

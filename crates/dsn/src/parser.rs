@@ -300,9 +300,8 @@ fn split_commas(v: &str) -> Vec<String> {
     while let Some(ch) = chars.next() {
         match ch {
             '\'' => {
-                if in_q && chars.peek() == Some(&'\'') {
-                    cur.push('\'');
-                    cur.push(chars.next().expect("peeked"));
+                if in_q && chars.next_if_eq(&'\'').is_some() {
+                    cur.push_str("''");
                 } else {
                     in_q = !in_q;
                     cur.push('\'');
@@ -559,6 +558,7 @@ fn build_channel(from: &str, to: &str, props: Props, line: usize) -> Result<Chan
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     const SCENARIO: &str = r#"

@@ -199,6 +199,7 @@ pub fn print_qos(q: &QosSpec) -> String {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::ast::{SinkKind, SourceMode};
     use sl_stt::{Duration, Theme};

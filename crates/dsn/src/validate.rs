@@ -213,6 +213,7 @@ pub fn validate_full(doc: &DsnDocument) -> DsnValidation {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::ast::{ServiceDecl, SinkDecl, SinkKind, SourceDecl};
     use sl_ops::OpSpec;

@@ -1,7 +1,6 @@
 //! Engine configuration: placement policy, migration thresholds, monitoring
 //! cadence, and overload-control knobs.
 
-use crate::shard::ShardKey;
 use sl_faults::RetryPolicy;
 use sl_ops::PriorityClass;
 use sl_stt::{Duration, SpatialGranularity, TemporalGranularity};
@@ -64,13 +63,11 @@ pub struct EngineConfig {
     /// Checkpoint blocking-operator caches so node crashes don't lose
     /// window state.
     pub checkpoint_enabled: bool,
-    /// Worker threads in the sharded execution pool. `1` (the default)
-    /// runs the classic single-threaded event loop; `n > 1` batches
-    /// same-instant deliveries to non-blocking operators across `n`
-    /// workers with identical outputs (see `DESIGN.md` §5f).
+    /// Event-loop threads. The engine runs one sequential event loop, so
+    /// the only valid value is `1` (the default); [`EngineConfig::validate`]
+    /// rejects anything else. Parallelism comes from placing operator
+    /// processes on different network nodes, not from threads.
     pub parallelism: usize,
-    /// How batched tuples are partitioned across shard workers.
-    pub shard_key: ShardKey,
     /// Overload control: bounded ingress queues, shedding, credits,
     /// breakers, backlog-driven migration. Default-off (unbounded queues),
     /// preserving historical byte-identical behaviour.
@@ -103,7 +100,6 @@ impl Default for EngineConfig {
             liveness_grace: 3,
             checkpoint_enabled: true,
             parallelism: 1,
-            shard_key: ShardKey::Space,
             overload: OverloadConfig::default(),
             retention: None,
         }
@@ -198,6 +194,8 @@ pub enum ConfigError {
     /// `retention` was `Some(0)` (a window that evicts everything, every
     /// sample). Use `None` to disable retention instead.
     ZeroRetention,
+    /// `parallelism` was not 1: the engine has a single event loop.
+    Parallelism(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -225,6 +223,12 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "retention must be a positive window (use None to keep everything)"
+                )
+            }
+            ConfigError::Parallelism(n) => {
+                write!(
+                    f,
+                    "parallelism {n} unsupported: the engine runs one event loop (use 1)"
                 )
             }
         }
@@ -264,6 +268,9 @@ impl EngineConfig {
         if self.retention.is_some_and(|r| r.is_zero()) {
             return Err(ConfigError::ZeroRetention);
         }
+        if self.parallelism != 1 {
+            return Err(ConfigError::Parallelism(self.parallelism));
+        }
         Ok(())
     }
 }
@@ -285,7 +292,6 @@ mod tests {
         assert!(c.liveness_enabled && c.liveness_grace >= 2);
         assert!(c.checkpoint_enabled);
         assert_eq!(c.parallelism, 1);
-        assert_eq!(c.shard_key, ShardKey::Space);
         // Overload control defaults off: unbounded queues, no breakers, so
         // seed behaviour is byte-identical.
         assert_eq!(c.overload.queue_capacity, None);
@@ -335,5 +341,11 @@ mod tests {
         let mut c = EngineConfig::default();
         c.overload.backlog_threshold = 0.0;
         assert_eq!(c.validate(), Err(ConfigError::BacklogThreshold(0.0)));
+
+        let c = EngineConfig {
+            parallelism: 2,
+            ..EngineConfig::default()
+        };
+        assert_eq!(c.validate(), Err(ConfigError::Parallelism(2)));
     }
 }

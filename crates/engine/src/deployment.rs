@@ -103,8 +103,6 @@ pub struct ServiceView {
     pub node: NodeId,
     /// Whether a periodic tick is scheduled (blocking operators).
     pub blocking: bool,
-    /// The live operator can be replicated across shard workers.
-    pub shardable: bool,
     /// The live operator persists window state through checkpoints.
     pub checkpointable: bool,
     /// Producer names in port order.
@@ -136,7 +134,6 @@ impl Deployment {
                 kind: s.op.kind().to_string(),
                 node: s.node,
                 blocking: s.blocking,
-                shardable: s.op.is_shardable(),
                 checkpointable: s.op.checkpoint().is_some(),
                 inputs: s.inputs.clone(),
             })

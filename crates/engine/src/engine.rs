@@ -8,7 +8,6 @@ use crate::deployment::{
 use crate::error::EngineError;
 use crate::monitor::{ControlRecord, Monitor, PlacementChange};
 use crate::overload::IngressTable;
-use crate::shard::ShardPool;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +24,7 @@ use sl_netsim::{
     Route, RoutingTable, Topology,
 };
 use sl_obs::{Metrics, MetricsSnapshot, SpanKey, Tracer};
-use sl_ops::{shard_checkpoint_name, ControlAction, OpCheckpoint, OpContext, PriorityClass};
+use sl_ops::{ControlAction, OpCheckpoint, OpContext, PriorityClass};
 use sl_pubsub::enrich::{enrich, EnrichPolicy};
 use sl_pubsub::{Broker, BrokerEvent, SensorAdvertisement, SubscriptionId};
 use sl_sensors::{decode_payload, SensorSim};
@@ -165,11 +164,6 @@ pub struct Engine {
     /// Wall-clock origin for span timestamps (virtual time measures the
     /// simulation; spans measure the host's processing cost).
     epoch: std::time::Instant,
-    /// The shard worker pool, spawned lazily on the first parallel run
-    /// (None while `config.parallelism <= 1`).
-    pool: Option<ShardPool>,
-    /// Steal count already exported to the `shard/steals` counter.
-    last_steals: u64,
     /// Overload control: per-operator in-flight depths, deferred shed
     /// markers, and per-window high-watermarks.
     ingress: IngressTable,
@@ -211,29 +205,11 @@ impl Engine {
             next_pid: 0,
             metrics: Metrics::new(),
             epoch: std::time::Instant::now(),
-            pool: None,
-            last_steals: 0,
             ingress: IngressTable::new(),
             breakers: BTreeMap::new(),
             last_backlog_migration: HashMap::new(),
             cq: CqHub::new(),
         }
-    }
-
-    /// Set the worker count of the sharded execution layer. `1` (the
-    /// default) keeps the classic single-threaded event loop; `n > 1`
-    /// executes batches of same-instant non-blocking deliveries on `n`
-    /// worker threads with outputs identical to sequential execution
-    /// (`DESIGN.md` §5f). Takes effect at the next [`Engine::run_until`].
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.config.parallelism = n.max(1);
-        // Rebuilt lazily with the new size.
-        self.pool = None;
-    }
-
-    /// Current worker count of the sharded execution layer.
-    pub fn parallelism(&self) -> usize {
-        self.config.parallelism
     }
 
     /// Create an engine whose Event Data Warehouse persists to the segment
@@ -542,7 +518,7 @@ impl Engine {
     }
 
     /// A read-only capability/placement snapshot of a deployment (see
-    /// [`DeploymentView`]): per-service shard/checkpoint capabilities,
+    /// [`DeploymentView`]): per-service checkpoint capabilities,
     /// current placement, and source acquisition state.
     pub fn deployment_view(&self, deployment: &str) -> Result<DeploymentView, EngineError> {
         self.deployments
@@ -765,7 +741,7 @@ impl Engine {
                     if self.config.checkpoint_enabled && blocking {
                         if let Some(ckpt) = self
                             .checkpoints
-                            .get(&(name.clone(), shard_checkpoint_name(service, 0, 1)))
+                            .get(&(name.clone(), service.to_string()))
                             .cloned()
                         {
                             let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
@@ -895,10 +871,6 @@ impl Engine {
         // Drop the deployment's checkpoints: a later deployment reusing the
         // name must start from clean operator state, not resurrect this one.
         self.checkpoints.retain(|(dep, _), _| dep != name);
-        // Cached shard replicas of the torn-down operators are stale too.
-        if let Some(pool) = &self.pool {
-            pool.invalidate_deployment(name);
-        }
         Ok(())
     }
 
@@ -967,11 +939,6 @@ impl Engine {
                     service: service.to_string(),
                 },
             );
-        }
-        // Shard replicas cached for the old operator must not keep
-        // processing tuples meant for the replacement.
-        if let Some(pool) = &self.pool {
-            pool.invalidate(deployment, service);
         }
         self.monitor.console.push(format!(
             "[{}] {deployment}/{service} replaced on the fly",
@@ -1252,7 +1219,7 @@ impl Engine {
             .place(&self.topology, process, target, demand, false);
         let restored = if self.config.checkpoint_enabled {
             self.checkpoints
-                .get(&(dep_name.to_string(), shard_checkpoint_name(svc_name, 0, 1)))
+                .get(&(dep_name.to_string(), svc_name.to_string()))
                 .cloned()
                 .unwrap_or_default()
         } else {
@@ -1437,11 +1404,6 @@ impl Engine {
         if self.config.retry_enabled && attempt < self.config.retry.max_attempts {
             let backoff = self.config.retry.backoff(attempt);
             self.metrics.counter("retry/scheduled").inc();
-            // Absolute time off the failing event's timestamp, so retries
-            // fire at the same instant whether the failure was handled
-            // sequentially or merged out of a parallel batch. (If a backoff
-            // is ever shorter than the batch window the retry clamps to the
-            // clock — a bounded deviation the default policy never hits.)
             self.queue.schedule_at(
                 now + backoff,
                 Ev::RetryDeliver {
@@ -1576,294 +1538,9 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Run the virtual clock forward to `deadline`.
-    ///
-    /// With `config.parallelism <= 1` this is the classic sequential loop.
-    /// Otherwise eligible deliveries — consecutive queue-head events inside
-    /// one processing-delay window, all targeting shardable non-blocking
-    /// operators — are drained as a batch, fanned out across the shard
-    /// pool, and merged back in drained order (the epoch barrier), which
-    /// keeps outputs byte-identical to sequential execution.
     pub fn run_until(&mut self, deadline: Timestamp) {
-        if self.config.parallelism <= 1 {
-            while let Some((now, ev)) = self.queue.pop_until(deadline) {
-                self.handle(now, ev);
-            }
-            return;
-        }
-        if self.pool.is_none() {
-            self.pool = Some(ShardPool::new(self.config.parallelism, self.epoch));
-        }
-        if self.pool.as_ref().is_none_or(|p| p.workers() == 0) {
-            // Thread spawning failed: degrade to sequential, don't die.
-            self.monitor
-                .console
-                .push("warn: shard pool has no workers; running sequentially".into());
-            while let Some((now, ev)) = self.queue.pop_until(deadline) {
-                self.handle(now, ev);
-            }
-            return;
-        }
-        let window = self.config.processing_delay;
         while let Some((now, ev)) = self.queue.pop_until(deadline) {
-            if !batch_eligible(&self.deployments, &self.ingress, &ev) {
-                self.handle(now, ev);
-                continue;
-            }
-            // Drain consecutive eligible events with times in
-            // [now, now + window). Children of these events are scheduled at
-            // least one full window later (delay + processing_delay), so no
-            // drained event's descendant can belong to this batch — that is
-            // what makes the merge order-equivalent to sequential.
-            let mut batch = vec![(now, ev)];
-            let horizon = now + window;
-            loop {
-                let eligible = match self.queue.peek() {
-                    Some((t, head)) if t < horizon && t <= deadline => {
-                        batch_eligible(&self.deployments, &self.ingress, head)
-                    }
-                    _ => false,
-                };
-                if !eligible {
-                    break;
-                }
-                match self.queue.pop() {
-                    Some(member) => batch.push(member),
-                    None => break,
-                }
-            }
-            if batch.len() == 1 {
-                // Parallel dispatch costs more than it saves for one tuple.
-                let Some((t, ev)) = batch.pop() else { continue };
-                self.handle(t, ev);
-            } else {
-                self.handle_parallel_batch(batch);
-            }
-        }
-    }
-
-    /// Execute a drained batch of eligible deliveries on the shard pool and
-    /// merge the results back in drained order.
-    fn handle_parallel_batch(&mut self, batch: Vec<(Timestamp, Ev)>) {
-        struct Member {
-            at: Timestamp,
-            dep: String,
-            target: String,
-            trace: u64,
-            job: usize,
-            slot: usize,
-        }
-        struct PendingJob {
-            dep: String,
-            target: String,
-            port: usize,
-            shard: usize,
-            items: Vec<(Timestamp, Tuple)>,
-        }
-        // Take the pool out so `self` stays free for the merge phase; it is
-        // restored before returning on every path.
-        let Some(mut pool) = self.pool.take() else {
-            for (t, ev) in batch {
-                self.handle(t, ev);
-            }
-            return;
-        };
-        let workers = pool.workers();
-        let shard_key = self.config.shard_key;
-
-        // Top up operator replicas before taking the batch apart: as many
-        // copies per operator as members could need (capped at the worker
-        // count). If any operator refuses to replicate, fall back to inline
-        // sequential processing of the whole batch — exactly equivalent,
-        // just slower.
-        let mut by_op: HashMap<(&str, &str), usize> = HashMap::new();
-        for (_, ev) in &batch {
-            if let Ev::Deliver {
-                deployment, target, ..
-            } = ev
-            {
-                *by_op.entry((deployment, target)).or_insert(0) += 1;
-            }
-        }
-        for ((dep, target), n) in by_op {
-            let Some(op) = self
-                .deployments
-                .get(dep)
-                .and_then(|d| d.services.get(target))
-                .map(|s| &*s.op)
-            else {
-                continue; // undeployed mid-window; the job will error per item
-            };
-            if !pool.ensure_replicas(dep, target, op, n.min(workers)) {
-                self.pool = Some(pool);
-                for (t, ev) in batch {
-                    self.handle(t, ev);
-                }
-                return;
-            }
-        }
-
-        // Group the batch into jobs keyed (deployment, target, shard), in
-        // first-touch order; remember where each member's item landed.
-        let mut jobs: Vec<PendingJob> = Vec::new();
-        let mut job_index: HashMap<(String, String, usize), usize> = HashMap::new();
-        let mut members: Vec<Member> = Vec::with_capacity(batch.len());
-        for (i, (at, ev)) in batch.into_iter().enumerate() {
-            let Ev::Deliver {
-                deployment,
-                target,
-                port,
-                tuple,
-            } = ev
-            else {
-                continue; // unreachable: eligibility admits only Deliver
-            };
-            let shard = shard_key.shard_of(&tuple, i, workers);
-            let trace = tuple.meta.trace;
-            let key = (deployment.clone(), target.clone(), shard);
-            let job = *job_index.entry(key).or_insert_with(|| {
-                jobs.push(PendingJob {
-                    dep: deployment.clone(),
-                    target: target.clone(),
-                    port,
-                    shard,
-                    items: Vec::new(),
-                });
-                jobs.len() - 1
-            });
-            jobs[job].items.push((at, tuple));
-            members.push(Member {
-                at,
-                dep: deployment,
-                target,
-                trace,
-                job,
-                slot: jobs[job].items.len() - 1,
-            });
-        }
-
-        // Submit every job, then block until all report back (the barrier).
-        let num_jobs = jobs.len();
-        let mut base_id = 0u64;
-        let mut job_meta: Vec<(String, String, usize, usize)> = Vec::with_capacity(num_jobs);
-        for (ji, job) in jobs.into_iter().enumerate() {
-            self.metrics
-                .gauge(&format!("shard/{}/queue_depth", job.shard))
-                .set(job.items.len() as i64);
-            let id = pool.submit(&job.dep, &job.target, job.port, job.shard, job.items);
-            if ji == 0 {
-                base_id = id;
-            }
-            job_meta.push((job.dep, job.target, job.shard, ji));
-        }
-        let mut results: Vec<Option<crate::shard::ShardJobResult>> =
-            (0..num_jobs).map(|_| None).collect();
-        for _ in 0..num_jobs {
-            match pool.recv() {
-                Some(r) => {
-                    let idx = (r.id - base_id) as usize;
-                    if idx < num_jobs {
-                        results[idx] = Some(r);
-                    }
-                }
-                None => {
-                    self.monitor
-                        .console
-                        .push("error: shard pool worker died; batch results lost".into());
-                    break;
-                }
-            }
-        }
-
-        // Per-shard accounting for this batch.
-        let mut batched_tuples = 0u64;
-        for (ji, r) in results.iter().enumerate() {
-            let Some(r) = r else { continue };
-            let shard = job_meta[ji].2;
-            self.metrics
-                .hist(&format!("shard/{shard}/batch_us"))
-                .record(r.wall_us);
-            self.metrics
-                .gauge(&format!("shard/{shard}/queue_depth"))
-                .set(0);
-            batched_tuples += r.items.len() as u64;
-            let stat = self.monitor.shards.entry(shard).or_default();
-            stat.batches += 1;
-            stat.tuples += r.items.len() as u64;
-            if r.stolen {
-                stat.stolen += 1;
-            }
-        }
-        self.metrics.counter("shard/batches").add(num_jobs as u64);
-        self.metrics
-            .counter("shard/batched_tuples")
-            .add(batched_tuples);
-        let steals = pool.steals();
-        self.metrics
-            .counter("shard/steals")
-            .add(steals.saturating_sub(self.last_steals));
-        self.last_steals = steals;
-        self.monitor.steals = steals;
-
-        // Pull the per-item outcomes out so each member can take its slot.
-        let mut slots: Vec<Vec<Option<crate::shard::ItemResult>>> = results
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r.items.into_iter().map(Some).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        self.pool = Some(pool);
-
-        // Merge in drained order: counters, spans, forwards and controls
-        // fire exactly as the sequential loop would have fired them.
-        for m in members {
-            let item = slots
-                .get_mut(m.job)
-                .and_then(|s| s.get_mut(m.slot))
-                .and_then(Option::take);
-            let Some(node) = self
-                .deployments
-                .get(&m.dep)
-                .and_then(|d| d.services.get(&m.target))
-                .map(|s| s.node)
-            else {
-                continue;
-            };
-            self.monitor.op_mut(&m.dep, &m.target).queue_depth.add(-1);
-            self.ingress.on_processed(&m.dep, &m.target);
-            self.regrant_credits(m.at);
-            let Some(item) = item else {
-                self.monitor.console.push(format!(
-                    "[{}] error: {}/{}: tuple lost in shard pool",
-                    m.at, m.dep, m.target
-                ));
-                continue;
-            };
-            if m.trace != 0 {
-                let key = SpanKey::new(&m.dep, &m.target, node.to_string());
-                let tracer = self.metrics.tracer();
-                tracer.span_enter(m.trace, key.clone(), item.wall0);
-                tracer.span_exit(m.trace, &key, item.wall1);
-            }
-            let wall = item.wall1.saturating_sub(item.wall0);
-            let outcome = item.outcome;
-            {
-                let counters = self.monitor.op_mut(&m.dep, &m.target);
-                counters.record_in();
-                counters.add_out(outcome.emitted.len() as u64);
-                counters.add_dropped(outcome.dropped);
-                counters.proc_latency.record(wall);
-            }
-            self.metrics.hist("ev/deliver_us").record(wall);
-            if let Some(e) = outcome.error {
-                self.monitor.console.push(format!(
-                    "[{}] error: {}/{}: {e}; tuple dropped",
-                    m.at, m.dep, m.target
-                ));
-                continue;
-            }
-            self.forward(m.at, &m.dep, &m.target, node, outcome.emitted);
-            self.apply_controls(m.at, &m.dep, &m.target, outcome.controls);
+            self.handle(now, ev);
         }
     }
 
@@ -2310,12 +1987,9 @@ impl Engine {
     /// into the segment log, so a restarted process can restore the window
     /// cache at deploy time.
     fn store_checkpoint(&mut self, dep_name: &str, service: &str, ckpt: OpCheckpoint) {
-        // Blocking operators are single-owner (never sharded), so the slot
-        // name is always the plain `service` spelling — which keeps keys
-        // byte-compatible with checkpoints persisted before the parallel
-        // layer existed. The helper documents the `service#shardN` scheme
-        // for any future shard-local state.
-        let slot = shard_checkpoint_name(service, 0, 1);
+        // The slot is the plain service name, the key every durable log
+        // has used for blocking-operator checkpoints.
+        let slot = service.to_string();
         self.metrics.counter("checkpoint/taken").inc();
         self.metrics
             .gauge("checkpoint/bytes")
@@ -2383,11 +2057,7 @@ impl Engine {
     /// Forward operator outputs to their consumers over the network.
     ///
     /// `base` is the virtual time the producing event fired at. Deliveries
-    /// are scheduled at `base + delay + processing_delay` absolutely (not
-    /// relative to the clock): in the sequential loop `base` *is* the
-    /// clock, and in a parallel merge the clock has already advanced past
-    /// earlier batch members — absolute scheduling keeps child times
-    /// identical either way.
+    /// are scheduled at `base + delay + processing_delay`.
     fn forward(
         &mut self,
         base: Timestamp,
@@ -2971,34 +2641,6 @@ impl Engine {
     }
 }
 
-/// True if an event may join a parallel execution batch: a delivery to a
-/// live *service* whose operator is shardable and non-blocking. Everything
-/// else — sinks, ticks, faults, retries, monitor samples, and stateful or
-/// blocking operators — is handled inline on the engine thread, exactly as
-/// the sequential loop would.
-fn batch_eligible(
-    deployments: &BTreeMap<String, Deployment>,
-    ingress: &IngressTable,
-    ev: &Ev,
-) -> bool {
-    let Ev::Deliver {
-        deployment, target, ..
-    } = ev
-    else {
-        return false;
-    };
-    // An operator with deferred shed markers pending must consume them
-    // inline (in arrival order) through `on_deliver`; markers cannot appear
-    // mid-collection because no events are handled while a batch drains.
-    if ingress.has_pending_shed(deployment, target) {
-        return false;
-    }
-    deployments
-        .get(deployment)
-        .and_then(|d| d.services.get(target))
-        .is_some_and(|svc| !svc.blocking && svc.op.is_shardable())
-}
-
 /// Project a sensor tuple onto a source's declared schema (types checked at
 /// bind time via subsumption; values pass through, with Int→Float widening).
 fn project(tuple: &Tuple, schema: &SchemaRef) -> Option<Tuple> {
@@ -3549,5 +3191,153 @@ mod tests {
         e.deploy(df).unwrap();
         assert!(e.bound_sensors("d", "temp").is_empty());
         assert!(e.monitor().membership.iter().any(|l| l.contains("skipped")));
+    }
+
+    /// Six sensors sharing one period (their emissions collide in virtual
+    /// time) at scattered positions, feeding a transform → virtual property
+    /// → filter → aggregate pipeline with warehouse and console sinks.
+    fn mixed_engine(seed: u64) -> Engine {
+        let mut t = Topology::new();
+        let edge = t.add_node(NodeSpec::edge("edge", 50.0));
+        let hub = t.add_node(NodeSpec::edge("hub", 1_000_000.0));
+        let spare = t.add_node(NodeSpec::edge("spare", 900_000.0));
+        t.add_link(edge, hub, Duration::from_millis(1), 10_000_000)
+            .unwrap();
+        t.add_link(edge, spare, Duration::from_millis(2), 10_000_000)
+            .unwrap();
+        t.add_link(hub, spare, Duration::from_millis(1), 10_000_000)
+            .unwrap();
+        let cfg = EngineConfig {
+            migration_enabled: false,
+            seed,
+            ..Default::default()
+        };
+        let mut e = Engine::new(t, cfg, start());
+        for i in 0..6u64 {
+            e.add_sensor(Box::new(TemperatureSensor::new(
+                SensorId(i),
+                &format!("t{i}"),
+                GeoPoint::new_unchecked(34.0 + i as f64 * 0.3, 135.0 + i as f64 * 0.2),
+                edge,
+                Duration::from_secs(2),
+                false,
+                false,
+                seed.wrapping_add(i),
+            )))
+            .unwrap();
+        }
+        let flow = DataflowBuilder::new("p")
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .transform("to_f", "temp", &[("temperature", "temperature * 1.8 + 32")])
+            .virtual_property("flag", "to_f", "hot", "temperature > 80")
+            .filter("keep", "flag", "temperature > -100")
+            .aggregate(
+                "avg",
+                "keep",
+                Duration::from_secs(20),
+                &[],
+                sl_ops::AggFunc::Avg,
+                Some("temperature"),
+            )
+            .sink("edw", SinkKind::Warehouse, &["avg"])
+            .sink("out", SinkKind::Console, &["keep"])
+            .build()
+            .unwrap();
+        e.deploy(flow).unwrap();
+        e
+    }
+
+    fn install_mixed_chaos(e: &mut Engine) {
+        let victim = e.node_of("p", "avg").expect("aggregate placed");
+        e.install_fault_plan(
+            &sl_faults::FaultPlan::new()
+                .sensor_stall(2, Duration::from_secs(10), Duration::from_secs(15))
+                .corrupt_window(4, Duration::from_secs(20), Duration::from_secs(8))
+                .node_crash(victim.0, Duration::from_secs(35))
+                .node_restart(victim.0, Duration::from_secs(55)),
+        );
+    }
+
+    /// Everything observable about a finished run, for whole-value
+    /// comparison.
+    #[derive(Debug, PartialEq)]
+    struct RunDigest {
+        warehouse: Vec<sl_stt::Event>,
+        edw: u64,
+        console_sink: u64,
+        dlq: Vec<(DropReason, u64)>,
+        ops: Vec<(String, String, u64, u64, u64)>,
+        recovery: Vec<String>,
+    }
+
+    fn run_digest(e: &Engine) -> RunDigest {
+        RunDigest {
+            warehouse: e.warehouse().iter().cloned().collect(),
+            edw: e.monitor().sink_count("p", "edw"),
+            console_sink: e.monitor().sink_count("p", "out"),
+            dlq: e.dlq().by_reason().collect(),
+            ops: e
+                .monitor()
+                .all_ops()
+                .map(|((d, o), c)| {
+                    (
+                        d.clone(),
+                        o.clone(),
+                        c.tuples_in(),
+                        c.tuples_out(),
+                        c.dropped(),
+                    )
+                })
+                .collect(),
+            recovery: e.monitor().recovery.clone(),
+        }
+    }
+
+    fn mixed_run(seed: u64, with_faults: bool) -> RunDigest {
+        let mut e = mixed_engine(seed);
+        if with_faults {
+            install_mixed_chaos(&mut e);
+        }
+        e.run_for(Duration::from_secs(90));
+        run_digest(&e)
+    }
+
+    #[test]
+    fn mixed_pipeline_produces_for_every_seed() {
+        for seed in [1u64, 7, 42] {
+            let d = mixed_run(seed, false);
+            assert!(d.edw > 0, "seed {seed}: aggregate must reach the EDW");
+            assert!(d.console_sink > 50, "seed {seed}: tuples must flow");
+        }
+        let mut e = mixed_engine(7);
+        e.run_for(Duration::from_secs(60));
+        let report = e.monitor().report(e.now());
+        assert!(report.contains("depth="), "{report}");
+    }
+
+    #[test]
+    fn chaos_run_dead_letters_and_replays_identically() {
+        for seed in [7u64, 99] {
+            let first = mixed_run(seed, true);
+            assert!(
+                first.dlq.iter().any(|(_, n)| *n > 0),
+                "seed {seed}: chaos must dead-letter something"
+            );
+            assert_eq!(first, mixed_run(seed, true), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn split_run_matches_single_run() {
+        // Stopping the clock halfway and resuming changes nothing.
+        let whole = mixed_run(7, false);
+        let mut e = mixed_engine(7);
+        e.run_for(Duration::from_secs(45));
+        e.run_for(Duration::from_secs(45));
+        assert_eq!(whole, run_digest(&e));
     }
 }

@@ -28,13 +28,7 @@
 //! * the **recovery layer** (`sl-faults`): scheduled [`FaultPlan`]s, retried
 //!   delivery with a dead-letter queue, the sensor liveness watchdog, and
 //!   checkpoint/restore of blocking-operator state across node crashes
-//!   (see `DESIGN.md` §"Fault model & recovery"),
-//! * the **sharded execution layer** (sl-par, [`shard`]): with
-//!   `parallelism > 1`, deliveries to non-blocking shardable operators are
-//!   drained in epoch-window batches, partitioned by a configurable
-//!   [`ShardKey`] across a work-stealing `std::thread` pool, and merged
-//!   back in drained order — outputs are byte-identical to the sequential
-//!   loop (see `DESIGN.md` §"Parallel execution").
+//!   (see `DESIGN.md` §"Fault model & recovery").
 //!
 //! [`FaultPlan`]: sl_faults::FaultPlan
 //!
@@ -54,7 +48,6 @@
 //! topo.add_node(NodeSpec::edge("edge", 50.0));
 //! let start = Timestamp::from_civil(2016, 7, 1, 8, 0, 0);
 //! let mut engine = Engine::new(topo, EngineConfig::default(), start);
-//! engine.set_parallelism(4); // sharded execution; outputs stay identical
 //! engine.run_for(Duration::from_secs(10));
 //! assert_eq!(engine.now(), start + Duration::from_secs(10));
 //! ```
@@ -66,13 +59,11 @@ pub mod engine;
 pub mod error;
 pub mod monitor;
 pub mod overload;
-pub mod shard;
 
 pub use config::{ConfigError, EngineConfig, OverflowPolicy, OverloadConfig, PlacementPolicy};
 pub use deployment::{DeploymentView, ServiceView};
 pub use engine::{DeadTuple, Engine};
 pub use error::EngineError;
-pub use monitor::{CqStat, Monitor, OpCounters, PlacementChange, ShardStat};
+pub use monitor::{CqStat, Monitor, OpCounters, PlacementChange};
 pub use overload::{IngressState, IngressTable};
-pub use shard::{ShardKey, ShardPool};
 pub use sl_cq::{CqPoll, SubscriberId, ViewId};

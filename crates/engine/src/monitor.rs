@@ -123,10 +123,6 @@ pub struct Monitor {
     /// Durability log lines (log recovery, torn-tail truncation, window
     /// caches restored from persisted checkpoints).
     pub durability: Vec<String>,
-    /// Per-shard execution stats (empty while running sequentially).
-    pub shards: BTreeMap<usize, ShardStat>,
-    /// Total shard jobs executed by a non-home worker (work stealing).
-    pub steals: u64,
     /// Overload-control log lines (credit revocations, breaker state
     /// transitions, burst actuations, backlog migrations).
     pub pressure: Vec<String>,
@@ -159,17 +155,6 @@ pub struct CqStat {
     pub cells: usize,
     /// Contributions currently held (views).
     pub contributions: usize,
-}
-
-/// Execution stats for one shard of the parallel worker pool.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ShardStat {
-    /// Jobs dispatched with this shard as home.
-    pub batches: u64,
-    /// Tuples processed across those jobs.
-    pub tuples: u64,
-    /// Jobs stolen off this shard's queue by another worker.
-    pub stolen: u64,
 }
 
 impl Monitor {
@@ -323,16 +308,6 @@ impl Monitor {
             let _ = writeln!(out, "  durability (last 10):");
             for line in self.durability.iter().rev().take(10).rev() {
                 let _ = writeln!(out, "    {line}");
-            }
-        }
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "  execution shards (steals={}):", self.steals);
-            for (shard, s) in &self.shards {
-                let _ = writeln!(
-                    out,
-                    "    shard#{shard}: batches={} tuples={} stolen={}",
-                    s.batches, s.tuples, s.stolen
-                );
             }
         }
         if !self.pressure.is_empty() {

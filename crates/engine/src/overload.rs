@@ -86,15 +86,6 @@ impl IngressTable {
             .pop_front()
     }
 
-    /// True if the operator has deferred sheds waiting (such operators are
-    /// excluded from batched execution so markers are consumed in order).
-    pub fn has_pending_shed(&self, dep: &str, op: &str) -> bool {
-        self.map
-            .get(&(dep.to_string(), op.to_string()))
-            .map(|s| !s.pending.is_empty())
-            .unwrap_or(false)
-    }
-
     /// Record a delivered (processed) tuple: depth −1.
     pub fn on_processed(&mut self, dep: &str, op: &str) {
         if let Some(s) = self.map.get_mut(&(dep.to_string(), op.to_string())) {
@@ -169,10 +160,9 @@ mod tests {
         t.condemn_oldest("d", "hot", ShedPolicy::Oldest);
         t.admit("d", "hot");
         assert_eq!(t.depth("d", "hot"), 2); // bound respected
-        assert!(t.has_pending_shed("d", "hot"));
+
         // The next arrival is the condemned one: consumed, no decrement.
         assert_eq!(t.take_pending_shed("d", "hot"), Some(ShedPolicy::Oldest));
-        assert!(!t.has_pending_shed("d", "hot"));
         assert_eq!(t.take_pending_shed("d", "hot"), None);
         assert_eq!(t.depth("d", "hot"), 2);
     }

@@ -256,6 +256,7 @@ impl fmt::Display for Expr {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

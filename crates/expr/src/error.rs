@@ -132,6 +132,7 @@ impl From<SttError> for ExprError {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -53,7 +53,7 @@ pub fn eval(expr: &Expr, env: &dyn Bindings) -> Result<Value, ExprError> {
             let v = eval(expr, env)?;
             match (op, v) {
                 (_, Value::Null) => Ok(Value::Null),
-                (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
+                (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
                 (UnOp::Neg, Value::Float(x)) => Ok(Value::Float(-x)),
                 (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
                 (op, v) => Err(ExprError::Type {
@@ -126,19 +126,18 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExprError> {
                 // enforces this; the runtime double-checks for safety).
                 (Value::Str(a), Value::Str(b)) => a.cmp(b),
                 (Value::Time(a), Value::Time(b)) => a.cmp(b),
-                (a, b) if a.as_f64().is_ok() && b.as_f64().is_ok() => a
-                    .as_f64()
-                    .expect("num")
-                    .total_cmp(&b.as_f64().expect("num")),
-                (a, b) => {
-                    return Err(ExprError::Type {
-                        message: format!(
-                            "cannot order {} against {}",
-                            a.type_name(),
-                            b.type_name()
-                        ),
-                    })
-                }
+                (a, b) => match (a.as_f64(), b.as_f64()) {
+                    (Ok(x), Ok(y)) => x.total_cmp(&y),
+                    _ => {
+                        return Err(ExprError::Type {
+                            message: format!(
+                                "cannot order {} against {}",
+                                a.type_name(),
+                                b.type_name()
+                            ),
+                        })
+                    }
+                },
             };
             let b = match op {
                 Lt => ord.is_lt(),
@@ -179,7 +178,7 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExprError> {
                 if *b == 0 {
                     Err(ExprError::DivisionByZero)
                 } else {
-                    Ok(Value::Int(a.rem_euclid(*b)))
+                    Ok(Value::Int(a.wrapping_rem_euclid(*b)))
                 }
             }
             _ => {
@@ -197,6 +196,7 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExprError> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::parser::parse;
     use std::collections::HashMap;
@@ -233,6 +233,20 @@ mod tests {
         assert_eq!(run("x % 3", &e).unwrap(), Value::Int(1));
         assert_eq!(run("-x + 1", &e).unwrap(), Value::Int(-9));
         assert_eq!(run("'a' + 'b'", &e).unwrap(), Value::Str("ab".into()));
+    }
+
+    #[test]
+    fn int_overflow_wraps_instead_of_panicking() {
+        // Int attributes come straight from sensor payloads, so i64::MIN
+        // is a reachable input: `%` and unary `-` must not panic on it.
+        let e = env(&[("m", Value::Int(i64::MIN))]);
+        assert_eq!(run("m % -1", &e).unwrap(), Value::Int(0));
+        assert_eq!(
+            run("m % 7", &e).unwrap(),
+            Value::Int(i64::MIN.rem_euclid(7))
+        );
+        assert_eq!(run("-m", &e).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(run("-(m + 1)", &e).unwrap(), Value::Int(i64::MAX));
     }
 
     #[test]

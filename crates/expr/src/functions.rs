@@ -275,10 +275,17 @@ pub fn call(name: &str, args: &[Value]) -> Result<Value, ExprError> {
         "pow" => Ok(Value::Float(args[0].as_f64()?.powf(args[1].as_f64()?))),
         "min" | "max" => {
             let all_int = args.iter().all(|a| matches!(a, Value::Int(_)));
-            if all_int {
-                let it = args.iter().map(|a| a.as_i64().expect("int"));
-                let v = if name == "min" { it.min() } else { it.max() };
-                Ok(Value::Int(v.expect("non-empty")))
+            let ints = args.iter().filter_map(|a| match a {
+                Value::Int(i) => Some(*i),
+                _ => None,
+            });
+            let best_int = if name == "min" {
+                ints.min()
+            } else {
+                ints.max()
+            };
+            if let (true, Some(v)) = (all_int, best_int) {
+                Ok(Value::Int(v))
             } else {
                 let mut best = args[0].as_f64()?;
                 for a in &args[1..] {
@@ -534,6 +541,7 @@ fn days_in_month(year: i64, month: i64) -> i64 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     fn f(name: &str, args: &[Value]) -> Value {

@@ -308,6 +308,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, ExprError> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {

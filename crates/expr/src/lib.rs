@@ -117,6 +117,7 @@ impl CompiledExpr {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_stt::{Field, GeoPoint, SensorId, SttMeta, Theme, Timestamp};
 

@@ -247,6 +247,7 @@ impl Parser {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     fn roundtrip(src: &str) -> String {

@@ -228,6 +228,7 @@ pub fn literal_type(v: &Value) -> ExprType {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::parser::parse;
     use sl_stt::Field;

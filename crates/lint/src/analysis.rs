@@ -315,6 +315,19 @@ mod tests {
     }
 
     #[test]
+    fn fold_constant_wraps_int_overflow() {
+        // A DSN document may carry these literals; folding must not panic.
+        assert_eq!(
+            fold_constant("(-9223372036854775807 - 1) % -1"),
+            Some(Value::Int(0))
+        );
+        assert_eq!(
+            fold_constant("-(-9223372036854775807 - 1)"),
+            Some(Value::Int(i64::MIN))
+        );
+    }
+
+    #[test]
     fn joined_right_names_prefix_on_collision() {
         let l = schema(&[("station", AttrType::Str), ("temperature", AttrType::Float)]);
         let r = schema(&[("station", AttrType::Str), ("rain", AttrType::Float)]);

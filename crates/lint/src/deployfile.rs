@@ -9,8 +9,6 @@
 //! # deploy.conf
 //! queue_capacity = 1024        # or `none`
 //! policy = block               # block | shed_oldest | shed_newest | sample:0.5
-//! parallelism = 4
-//! shard_key = space            # space | sensor | round_robin
 //! checkpoint = on
 //! durable = on
 //! retention_ms = 600000        # or `none`
@@ -83,15 +81,6 @@ pub fn parse_deploy_config(text: &str) -> Result<DeploySpec, String> {
                         ),
                         None => return Err(err(i, &format!("unknown policy `{other}`"))),
                     },
-                }
-            }
-            "parallelism" => cfg.parallelism = parse_num(i, key, value)?,
-            "shard_key" => {
-                cfg.shard_key = match value {
-                    "space" => sl_engine::ShardKey::Space,
-                    "sensor" => sl_engine::ShardKey::Sensor,
-                    "round_robin" => sl_engine::ShardKey::RoundRobin,
-                    other => return Err(err(i, &format!("unknown shard_key `{other}`"))),
                 }
             }
             "checkpoint" => cfg.checkpoint_enabled = parse_bool(i, key, value)?,
@@ -242,8 +231,6 @@ mod tests {
              queue_capacity = 1024\n\
              policy = shed_oldest\n\
              global_capacity = none\n\
-             parallelism = 4   # four workers\n\
-             shard_key = sensor\n\
              checkpoint = on\n\
              durable = on\n\
              retention_ms = 600000\n\
@@ -258,8 +245,6 @@ mod tests {
         assert_eq!(spec.config.overload.queue_capacity, Some(1024));
         assert_eq!(spec.config.overload.policy, OverflowPolicy::ShedOldest);
         assert_eq!(spec.config.overload.global_capacity, None);
-        assert_eq!(spec.config.parallelism, 4);
-        assert_eq!(spec.config.shard_key, sl_engine::ShardKey::Sensor);
         assert!(spec.config.checkpoint_enabled && spec.durable);
         assert!(spec.compaction);
         assert_eq!(spec.config.retention, Some(Duration::from_millis(600_000)));
@@ -283,6 +268,8 @@ mod tests {
     #[test]
     fn config_rejects_unknown_and_malformed() {
         assert!(parse_deploy_config("qeue_capacity = 4").is_err());
+        // Parallelism is not a deployment knob: the engine has one loop.
+        assert!(parse_deploy_config("parallelism = 4").is_err());
         assert!(parse_deploy_config("parallelism four").is_err());
         assert!(parse_deploy_config("policy = drop_everything").is_err());
         assert!(parse_deploy_config("checkpoint = yes").is_err());

@@ -109,11 +109,8 @@ lint_codes! {
     IneffectiveBackpressure = ("SL051", Warning, "Block policy cannot absorb a blocking producer's tick burst"),
     SharedCreditStarvation = ("SL052", Warning, "sources share sensors, so Block throttling one starves the other"),
     LossyBlockPreemption = ("SL053", Warning, "global-capacity preemption sheds despite the Block policy"),
-    // SL06x — shard safety under `parallelism > 1` (DESIGN.md §5f).
-    FruitlessParallelism = ("SL060", Warning, "parallelism configured but no operator is shardable"),
-    OrderSensitiveMerge = ("SL061", Warning, "order-sensitive operator downstream of a merge under parallelism"),
-    SpaceShardWithoutLocation = ("SL062", Warning, "Space shard key with unlocated sensors degrades to sensor hashing"),
-    ShardSkew = ("SL063", Warning, "fewer distinct bound sensors than shard workers"),
+    // SL060–SL063 are retired (the in-process sharded executor they
+    // checked was deleted); the codes are never to be reused.
     // SL07x — recovery coverage under the analyzed fault plan.
     UncheckpointedState = ("SL070", Warning, "crash plan with checkpoints disabled loses blocking-operator state"),
     VolatileCheckpoints = ("SL071", Warning, "checkpoints enabled but not durable under a crash plan"),
@@ -342,6 +339,16 @@ mod tests {
             assert!(!c.title().is_empty());
         }
         assert!(LintCode::ALL.len() >= 8);
+    }
+
+    #[test]
+    fn retired_codes_stay_retired() {
+        for retired in ["SL060", "SL061", "SL062", "SL063"] {
+            assert!(
+                LintCode::ALL.iter().all(|c| c.as_str() != retired),
+                "{retired} is retired and must not be reused"
+            );
+        }
     }
 
     #[test]

@@ -23,11 +23,9 @@
 //!
 //! 5. **deadlock** — trigger activation liveness and credit/backpressure
 //!    stalls under the `Block` policy (`SL050`–`SL053`);
-//! 6. **shard** — does the configured parallelism help, and can it change
-//!    observable behaviour (`SL060`–`SL063`);
-//! 7. **recovery** — checkpoint/durability/retry coverage of the attached
+//! 6. **recovery** — checkpoint/durability/retry coverage of the attached
 //!    fault plan (`SL070`–`SL072`);
-//! 8. **resource** — worst-case queue depth, memory, and shedding volume
+//! 7. **resource** — worst-case queue depth, memory, and shedding volume
 //!    by abstract interpretation of advertised rates (`SL080`–`SL083`).
 //!
 //! A third, run-time tier ([`cq`], the `Session::lint_cq` path) checks a
@@ -151,7 +149,7 @@ pub fn lint_document(
 
 /// Lint a conceptual dataflow against a full deployment model: the
 /// document tier plus the `SL05x`–`SL08x` deployment passes (deadlock,
-/// shard-safety, recovery coverage, resource bounds). This is the
+/// recovery coverage, resource bounds). This is the
 /// `Session::lint_deployment` path.
 pub fn lint_deployment(
     df: &Dataflow,

@@ -115,10 +115,6 @@ pub struct OpFacts {
     pub kind: &'static str,
     /// Blocking (tick-driven window) operator.
     pub blocking: bool,
-    /// Safe to replicate across shard workers.
-    pub shardable: bool,
-    /// Output depends on input arrival order (decimation counters).
-    pub order_sensitive: bool,
     /// Tick period, in seconds, for blocking operators.
     pub period_s: Option<f64>,
     /// Estimated steady-state input rate (sum over input ports), when the
@@ -135,9 +131,6 @@ pub struct OpFacts {
     /// Worst-case per-tick batch of direct blocking producers (everything
     /// a producer buffered over one period released at once).
     pub tick_burst_max: f64,
-    /// A join lies transitively upstream (the stream is a merge of two
-    /// independently-timed streams).
-    pub downstream_of_join: bool,
 }
 
 /// The deployment graph: [`OpFacts`] per service plus the model-derived
@@ -168,21 +161,6 @@ impl DeployGraph {
             .iter()
             .map(|s| (s.name.as_str(), count_sensors(registry, &s.filter)))
             .collect();
-
-        // Transitive join-reachability, computed in declaration order with a
-        // fixpoint (documents are validated acyclic, so this converges).
-        let mut merged: BTreeSet<String> = BTreeSet::new();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for svc in &doc.services {
-                let is_merged =
-                    svc.spec.input_ports() > 1 || svc.inputs.iter().any(|i| merged.contains(i));
-                if is_merged && merged.insert(svc.name.clone()) {
-                    changed = true;
-                }
-            }
-        }
 
         let mut ops = BTreeMap::new();
         for svc in &doc.services {
@@ -235,15 +213,12 @@ impl DeployGraph {
                 OpFacts {
                     kind: svc.spec.kind(),
                     blocking: svc.spec.is_blocking(),
-                    shardable: svc.spec.is_shardable(),
-                    order_sensitive: svc.spec.is_order_sensitive(),
                     period_s: svc.spec.period().map(|p| p.as_secs_f64()),
                     in_rate_hz: in_rate,
                     in_width_bytes: in_width,
                     first_hop_sensors,
                     tick_burst_est,
                     tick_burst_max,
-                    downstream_of_join: merged.contains(&svc.name),
                 },
             );
         }

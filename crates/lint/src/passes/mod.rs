@@ -9,7 +9,6 @@ pub mod granularity;
 pub mod rate;
 pub mod recovery;
 pub mod resource;
-pub mod shard;
 pub mod structure;
 
 use crate::analysis::StreamProps;
@@ -66,7 +65,6 @@ pub const PIPELINE: &[(&str, PassFn)] = &[
     ("rate", rate::run),
     ("deadcode", deadcode::run),
     ("deadlock", deadlock::run),
-    ("shard", shard::run),
     ("recovery", recovery::run),
     ("resource", resource::run),
 ];

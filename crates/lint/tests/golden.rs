@@ -8,7 +8,7 @@
 #![allow(clippy::field_reassign_with_default)] // goldens mutate one knob at a time
 
 use sl_dsn::parse_document;
-use sl_engine::{EngineConfig, OverflowPolicy, ShardKey};
+use sl_engine::{EngineConfig, OverflowPolicy};
 use sl_faults::FaultPlan;
 use sl_lint::{
     lint_document, lint_document_with_model, DeployModel, LintCode, LintConfig, LintContext,
@@ -16,7 +16,7 @@ use sl_lint::{
 };
 use sl_netsim::{NodeSpec, Topology};
 use sl_pubsub::{SensorAdvertisement, SensorKind, SensorRegistry};
-use sl_stt::{AttrType, Duration, Field, GeoPoint, Schema, SchemaRef, SensorId, Theme};
+use sl_stt::{AttrType, Duration, Field, Schema, SchemaRef, SensorId, Theme};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -757,125 +757,6 @@ fn sl053_lossy_block_preemption() {
     assert!(!report.has(LintCode::LossyBlockPreemption));
 }
 
-// --------------------------------------------------------------- SL06x shard
-
-#[test]
-fn sl060_fruitless_parallelism() {
-    let only_blocking = doc(&format!(
-        "{TEMP_SOURCE}
-  service avg {{
-    op: aggregate; period: 5000; group_by: temp; func: avg; attr: temp; inputs: temp;
-  }}
-  sink out {{ kind: console; inputs: avg; }}"
-    ));
-    let mut cfg = EngineConfig::default();
-    cfg.parallelism = 4;
-    let report = lint_deploy(&only_blocking, &LintContext::bare(), &model(&cfg));
-    assert!(
-        report.has(LintCode::FruitlessParallelism),
-        "{:?}",
-        report.codes()
-    );
-    // One shardable stage gives the pool something to batch.
-    let with_filter = only_blocking.replace(
-        "inputs: temp;\n  }",
-        "inputs: temp;\n  }\n  service hot { op: filter; condition: 'temp > 20'; inputs: temp; }",
-    ) + "";
-    let with_filter = with_filter.replace("inputs: avg;", "inputs: avg, hot;");
-    let report = lint_deploy(&with_filter, &LintContext::bare(), &model(&cfg));
-    assert!(!report.has(LintCode::FruitlessParallelism));
-}
-
-#[test]
-fn sl061_order_sensitive_merge() {
-    let cull_after_join = doc(&format!(
-        "{TEMP_SOURCE}{RAIN_SOURCE}
-  service paired {{
-    op: join; period: 5000; predicate: 'temp > 0 and rain > 0'; inputs: temp, rain;
-  }}
-  service thin {{ op: cull_time; interval: 0..100000000; rate: 2; inputs: paired; }}
-  sink out {{ kind: console; inputs: thin; }}"
-    ));
-    let mut cfg = EngineConfig::default();
-    cfg.parallelism = 2;
-    let report = lint_deploy(&cull_after_join, &LintContext::bare(), &model(&cfg));
-    assert!(
-        report.has(LintCode::OrderSensitiveMerge),
-        "{:?}",
-        report.codes()
-    );
-    // Sequential execution keeps one deterministic interleaving.
-    cfg.parallelism = 1;
-    let report = lint_deploy(&cull_after_join, &LintContext::bare(), &model(&cfg));
-    assert!(!report.has(LintCode::OrderSensitiveMerge));
-}
-
-#[test]
-fn sl062_space_shard_without_location() {
-    // The shared `registry` helper advertises no sensor positions.
-    let reg = registry(&[("weather/temperature", 1000)]);
-    let ctx = reg_ctx(&reg);
-    let dsn = doc(&format!(
-        "{TEMP_SOURCE}
-  service hot {{ op: filter; condition: 'temp > 20'; inputs: temp; }}
-  sink out {{ kind: console; inputs: hot; }}"
-    ));
-    let mut cfg = EngineConfig::default();
-    cfg.parallelism = 2;
-    cfg.shard_key = ShardKey::Space;
-    let report = lint_deploy(&dsn, &ctx, &model(&cfg));
-    assert!(
-        report.has(LintCode::SpaceShardWithoutLocation),
-        "{:?}",
-        report.codes()
-    );
-    // Located sensors partition spatially as intended.
-    let mut located = SensorRegistry::new();
-    let schema: SchemaRef = Arc::new(
-        Schema::new(vec![
-            Field::new("temp", AttrType::Float),
-            Field::new("rain", AttrType::Float),
-        ])
-        .unwrap(),
-    );
-    located
-        .publish(SensorAdvertisement {
-            id: SensorId(1),
-            name: "s0".into(),
-            kind: SensorKind::Physical,
-            schema,
-            theme: Theme::new("weather/temperature").unwrap(),
-            period: Duration::from_millis(1000),
-            location: Some(GeoPoint::new_unchecked(34.69, 135.50)),
-            node: sl_netsim::NodeId(0),
-        })
-        .unwrap();
-    let ctx = reg_ctx(&located);
-    let report = lint_deploy(&dsn, &ctx, &model(&cfg));
-    assert!(!report.has(LintCode::SpaceShardWithoutLocation));
-}
-
-#[test]
-fn sl063_shard_skew() {
-    let one = registry(&[("weather/temperature", 1000)]);
-    let ctx = reg_ctx(&one);
-    let dsn = doc(&format!(
-        "{TEMP_SOURCE}
-  service hot {{ op: filter; condition: 'temp > 20'; inputs: temp; }}
-  sink out {{ kind: console; inputs: hot; }}"
-    ));
-    let mut cfg = EngineConfig::default();
-    cfg.parallelism = 8;
-    cfg.shard_key = ShardKey::Sensor;
-    let report = lint_deploy(&dsn, &ctx, &model(&cfg));
-    assert!(report.has(LintCode::ShardSkew), "{:?}", report.codes());
-    // Eight distinct sensors feed eight workers.
-    let eight = registry(&[("weather/temperature", 1000); 8]);
-    let ctx = reg_ctx(&eight);
-    let report = lint_deploy(&dsn, &ctx, &model(&cfg));
-    assert!(!report.has(LintCode::ShardSkew));
-}
-
 // ------------------------------------------------------------ SL07x recovery
 
 #[test]
@@ -1203,10 +1084,6 @@ fn every_code_has_golden_coverage() {
         LintCode::IneffectiveBackpressure,
         LintCode::SharedCreditStarvation,
         LintCode::LossyBlockPreemption,
-        LintCode::FruitlessParallelism,
-        LintCode::OrderSensitiveMerge,
-        LintCode::SpaceShardWithoutLocation,
-        LintCode::ShardSkew,
         LintCode::UncheckpointedState,
         LintCode::VolatileCheckpoints,
         LintCode::BreakerRetryConflict,

@@ -139,15 +139,6 @@ impl<M> EventQueue<M> {
         None
     }
 
-    /// Time and message of the next live event without popping it. The
-    /// clock does not advance. Used by the parallel engine to test whether
-    /// the queue head is eligible to join the current execution batch.
-    pub fn peek(&mut self) -> Option<(Timestamp, &M)> {
-        self.peek_time()?;
-        // peek_time drained cancelled entries, so the top is live.
-        self.heap.peek().map(|top| (top.time, &top.msg))
-    }
-
     /// Pop only if the next event fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: Timestamp) -> Option<(Timestamp, M)> {
         match self.peek_time() {

@@ -1,7 +1,6 @@
 //! The output context operators write into, and the control actions the
 //! Trigger operators emit.
 
-use crate::error::OpError;
 use sl_stt::{Timestamp, Tuple};
 
 /// A reactive control action produced by a Trigger operator.
@@ -35,52 +34,6 @@ impl ControlAction {
     /// True for [`ControlAction::Activate`].
     pub fn is_activate(&self) -> bool {
         matches!(self, ControlAction::Activate { .. })
-    }
-}
-
-/// Everything one input tuple produced during a batch invocation
-/// ([`crate::Operator::process_batch`]).
-///
-/// Unlike [`OpContext`], which accumulates across calls, a `TupleOutcome`
-/// attributes outputs to the *individual* input tuple that caused them, so
-/// a parallel executor can merge batch results back into the sequential
-/// order deterministically (per-tuple forwarding, accounting, and error
-/// reporting all need the attribution).
-#[derive(Debug, Default)]
-pub struct TupleOutcome {
-    /// Tuples emitted for this input, in emission order.
-    pub emitted: Vec<Tuple>,
-    /// Control actions emitted for this input.
-    pub controls: Vec<ControlAction>,
-    /// Tuples consciously dropped (0 or 1 for the Table-1 unary operators).
-    pub dropped: u64,
-    /// The processing error, if the operator rejected the tuple.
-    pub error: Option<OpError>,
-}
-
-impl TupleOutcome {
-    /// Outcome that emits a single tuple.
-    pub fn emit(tuple: Tuple) -> TupleOutcome {
-        TupleOutcome {
-            emitted: vec![tuple],
-            ..TupleOutcome::default()
-        }
-    }
-
-    /// Outcome that consciously drops the input.
-    pub fn dropped() -> TupleOutcome {
-        TupleOutcome {
-            dropped: 1,
-            ..TupleOutcome::default()
-        }
-    }
-
-    /// Outcome carrying a processing error.
-    pub fn error(error: OpError) -> TupleOutcome {
-        TupleOutcome {
-            error: Some(error),
-            ..TupleOutcome::default()
-        }
     }
 }
 

@@ -29,12 +29,11 @@
 //!
 //! ## Example
 //!
-//! Non-blocking operators also expose the batch fast path used by the
-//! sharded executor ([`Operator::process_batch`]); outcomes stay attributed
-//! to their input tuples so a parallel merge preserves sequential order:
+//! A non-blocking operator processes each tuple as it arrives; the
+//! [`OpContext`] collects what it emits and what it consciously drops:
 //!
 //! ```
-//! use sl_ops::{FilterOp, Operator};
+//! use sl_ops::{FilterOp, OpContext, Operator};
 //! use sl_stt::{
 //!     AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Value,
 //! };
@@ -56,13 +55,11 @@
 //!     .unwrap()
 //! };
 //! let mut hot = FilterOp::new("temperature > 30", &schema).unwrap();
-//! assert!(hot.is_shardable());
-//! let outcomes = hot.process_batch(
-//!     0,
-//!     &[(Timestamp::from_secs(0), tuple(35.0)), (Timestamp::from_secs(0), tuple(12.0))],
-//! );
-//! assert_eq!(outcomes[0].emitted.len(), 1); // 35 °C passes
-//! assert_eq!(outcomes[1].dropped, 1); // 12 °C is filtered out
+//! let mut ctx = OpContext::new(Timestamp::from_secs(0));
+//! hot.on_tuple(0, tuple(35.0), &mut ctx).unwrap();
+//! hot.on_tuple(0, tuple(12.0), &mut ctx).unwrap();
+//! assert_eq!(ctx.emitted().len(), 1); // 35 °C passes
+//! assert_eq!(ctx.dropped(), 1); // 12 °C is filtered out
 //! ```
 #![warn(missing_docs)]
 
@@ -81,8 +78,8 @@ pub mod virtual_prop;
 pub mod window;
 
 pub use aggregate::{AggFunc, AggregateOp};
-pub use checkpoint::{shard_checkpoint_name, OpCheckpoint};
-pub use context::{ControlAction, OpContext, TupleOutcome};
+pub use checkpoint::OpCheckpoint;
+pub use context::{ControlAction, OpContext};
 pub use cull::{CullSpaceOp, CullTimeOp};
 pub use error::OpError;
 pub use filter::FilterOp;
@@ -156,55 +153,4 @@ pub trait Operator: Send {
     /// [`OpCheckpoint::empty`] models the state loss of an unrecovered
     /// crash. Default: no-op (stateless operators).
     fn restore(&mut self, _ckpt: OpCheckpoint) {}
-
-    /// Process a batch of input tuples in one call, attributing outputs to
-    /// each input individually.
-    ///
-    /// `batch` carries `(delivery time, tuple)` pairs; the returned vector
-    /// has exactly one [`TupleOutcome`] per input, in input order. The
-    /// default implementation replays the batch through
-    /// [`Operator::on_tuple`] one tuple at a time, so every operator gets a
-    /// batch path for free; the non-blocking Table-1 operators override it
-    /// with allocation-light fast paths. The parallel executor relies on
-    /// the per-input attribution to merge shard results back into the
-    /// sequential processing order.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(at, tuple)| {
-                let mut ctx = OpContext::new(*at);
-                let result = self.on_tuple(port, tuple.clone(), &mut ctx);
-                let dropped = ctx.dropped();
-                let (emitted, controls) = ctx.take();
-                TupleOutcome {
-                    emitted,
-                    controls,
-                    dropped,
-                    error: result.err(),
-                }
-            })
-            .collect()
-    }
-
-    /// True if invocations on this operator commute: it keeps no state
-    /// across tuples, so the executor may fan a batch out across parallel
-    /// shard workers (each working on a [`Operator::replicate`]d copy) and
-    /// merge the outcomes in input order without changing the outputs.
-    ///
-    /// Default `false`. Note that non-blocking is *not* sufficient: Cull is
-    /// non-blocking but keeps a decimation counter, so it must stay
-    /// single-owner.
-    fn is_shardable(&self) -> bool {
-        false
-    }
-
-    /// Build an independent copy of this operator for a shard worker.
-    ///
-    /// Only meaningful (and only required) when [`Operator::is_shardable`]
-    /// is true; stateless operators rebuild themselves from their compiled
-    /// specification. Default `None` (the operator cannot be replicated and
-    /// must be executed by its single owner).
-    fn replicate(&self) -> Option<Box<dyn Operator>> {
-        None
-    }
 }

@@ -134,25 +134,6 @@ impl OpSpec {
         }
     }
 
-    /// True when the runtime operator can be replicated across shard
-    /// workers ([`Operator::is_shardable`]): stateless per-tuple
-    /// operations. Cull counts tuples and is order-sensitive; blocking
-    /// operations own windowed state and stay single-owner.
-    pub fn is_shardable(&self) -> bool {
-        matches!(
-            self,
-            OpSpec::Filter { .. } | OpSpec::Transform { .. } | OpSpec::VirtualProperty { .. }
-        )
-    }
-
-    /// True when the operation's output depends on input *arrival order*,
-    /// not just input contents: the cull decimation counter keeps every
-    /// r-th matching tuple, so reordering the stream changes which tuples
-    /// survive.
-    pub fn is_order_sensitive(&self) -> bool {
-        matches!(self, OpSpec::CullTime { .. } | OpSpec::CullSpace { .. })
-    }
-
     /// True when the runtime operator persists window state through
     /// [`Operator::checkpoint`]: exactly the blocking operations.
     pub fn checkpointable(&self) -> bool {
@@ -460,23 +441,9 @@ mod tests {
             let inputs = vec![schema(); spec.input_ports()];
             let op = spec.instantiate(&inputs).unwrap();
             assert_eq!(
-                spec.is_shardable(),
-                op.is_shardable(),
-                "shardable mismatch for {}",
-                spec.kind()
-            );
-            assert_eq!(
                 spec.checkpointable(),
                 op.checkpoint().is_some(),
                 "checkpoint mismatch for {}",
-                spec.kind()
-            );
-            // Order sensitivity is exactly the non-shardable, non-blocking
-            // middle ground: the cull decimation counters.
-            assert_eq!(
-                spec.is_order_sensitive(),
-                !spec.is_shardable() && !spec.is_blocking(),
-                "order-sensitivity mismatch for {}",
                 spec.kind()
             );
         }

@@ -4,7 +4,7 @@
 #   scripts/check.sh --fast   # the PR fast loop: build, tests, fmt,
 #                             # clippy -D warnings, doc -D warnings
 #   scripts/check.sh          # everything: fast tier + the chaos/durable/
-#                             # parallel/overload/cq gates, the lint and
+#                             # overload/cq gates, the lint and
 #                             # example gates, the bench smokes, and the
 #                             # bench-compare regression diff
 #
@@ -42,9 +42,6 @@ cargo test -p sl-engine --test chaos
 # engine-level kill-and-reopen tests must hold on every commit.
 cargo test -p sl-durable -q
 cargo test -p sl-engine --test durable_recovery
-# Parallel-execution gate: sequential-vs-parallel output equivalence
-# (fault-free, under chaos, every shard key, mid-run switch).
-cargo test -p sl-engine --test parallel_equivalence
 
 # The durable tests create scratch dirs under $TMPDIR; a leftover one means
 # a TempDir leaked (Drop did not run or failed to clean up).
@@ -75,12 +72,6 @@ cargo test -p sl-engine --test overload
 # dir so bench-compare can diff them against the committed baselines.
 BENCH_SMOKE_DIR="target/bench-smoke"
 rm -rf "$BENCH_SMOKE_DIR"
-
-# Parallel-scaling smoke (E9): asserts identical outputs across worker
-# counts and that `with_parallelism(1)` is never slower than the
-# sequential loop beyond noise.
-BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
-    cargo run --release -q -p sl-bench --bin exp_e9_parallel -- --test
 
 # Overload saturation smoke (E10): every bounded policy holds its queue
 # bound under a 3x burst; Block sheds nothing; shed shortfalls are

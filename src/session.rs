@@ -53,27 +53,6 @@ impl StreamLoader {
         })
     }
 
-    /// Scale the session across `n` worker threads (the sharded execution
-    /// layer). Outputs are identical to the single-threaded default — only
-    /// wall-clock cost changes. `with_parallelism(1)` restores the classic
-    /// sequential loop.
-    ///
-    /// ```no_run
-    /// use streamloader::StreamLoader;
-    /// use sl_engine::EngineConfig;
-    /// use sl_sensors::ScenarioConfig;
-    ///
-    /// let session = StreamLoader::osaka_demo(&ScenarioConfig::default(), EngineConfig::default())
-    ///     .expect("default config is valid")
-    ///     .with_parallelism(4);
-    /// assert_eq!(session.engine().parallelism(), 4);
-    /// ```
-    #[must_use]
-    pub fn with_parallelism(mut self, n: usize) -> StreamLoader {
-        self.engine.set_parallelism(n);
-        self
-    }
-
     /// The paper's demo setup: the NICT-like testbed with the Osaka sensor
     /// fleet plugged in, clock at 2016-07-01 08:00 UTC.
     pub fn osaka_demo(
@@ -129,8 +108,8 @@ impl StreamLoader {
     /// Pre-flight analysis of a *deployment*: everything
     /// [`StreamLoader::lint`] checks plus the `SL05x`–`SL08x` deployment
     /// tier, which analyzes the dataflow against this session's actual
-    /// engine configuration (overflow policy, parallelism and shard key,
-    /// checkpoint/durability settings) and, when given, the fault plan the
+    /// engine configuration (overflow policy, checkpoint/durability
+    /// settings) and, when given, the fault plan the
     /// run will face. Run it before [`StreamLoader::deploy`] — a clean
     /// report means the deployment cannot stall under backpressure and its
     /// measured peak queue depths stay under the predicted bounds (see
@@ -178,7 +157,7 @@ impl StreamLoader {
     }
 
     /// A read-only capability/placement snapshot of a deployment: which
-    /// services are shardable or checkpointable, where they run, and which
+    /// services are blocking or checkpointable, where they run, and which
     /// sources are currently acquiring.
     pub fn deployment_view(
         &self,

@@ -235,12 +235,12 @@ fn deployment_view_reports_capabilities() {
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("service `{name}` missing from the view"))
     };
-    // A stateless filter shards; a join is blocking state that checkpoints;
-    // an order-sensitive cull is neither.
-    assert!(svc("risky").shardable && !svc("risky").blocking);
+    // A stateless filter neither blocks nor checkpoints; a join is
+    // blocking state that checkpoints; a cull is neither.
+    assert!(!svc("risky").blocking && !svc("risky").checkpointable);
     assert!(svc("paired").blocking && svc("paired").checkpointable);
     let thin = svc("rain_thin");
-    assert!(!thin.shardable && !thin.blocking && !thin.checkpointable);
+    assert!(!thin.blocking && !thin.checkpointable);
     assert!(
         view.active_sources.contains(&"rain".to_string())
             && view.active_sources.contains(&"level".to_string()),
